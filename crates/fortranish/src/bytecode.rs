@@ -10,6 +10,8 @@
 //! completion test is delegated to `force-core`'s schedule range rule
 //! ([`ForceRange::in_bounds`], the §4.2 `(incr > 0 ∧ k ≤ last) ∨
 //! (incr < 0 ∧ k ≥ last)` test) — and the VM executes the result.
+//! Statements over INTEGER private scalars compile further, to one
+//! instruction each (see "fused INTEGER forms" below).
 //!
 //! Semantics are bit-for-bit those of the tree-walker; the equivalence
 //! oracle (`tests/native_vs_interpreter.rs` and the executor matrix)
@@ -38,7 +40,7 @@ use crate::engine::{
 use crate::error::FortError;
 use crate::intrinsics;
 use crate::program::{Op, Program, Storage, Symbol, Unit};
-use crate::value::Value;
+use crate::value::{int_arith, int_neg, IntOp, Value};
 
 // ---- instruction set -------------------------------------------------
 
@@ -54,6 +56,22 @@ pub(crate) enum Instr {
     /// Fused structured-DO head: pops `to`, `var`, `step` and jumps past
     /// the loop body unless the trip continues (§4.2 completion test).
     DoCheck(u32),
+    /// A `DoCheck` over INTEGER operands read in place: the head
+    /// `CUnit::do_heads[i]` (no stack traffic, cannot fail).
+    DoHead(u32),
+    /// The close of the loop headed by `CUnit::do_heads[i]`: add the
+    /// step to the loop variable, then run the head's test in place of
+    /// jumping back to it (to the body if the trip continues, else past
+    /// the loop).
+    DoNext(u32),
+    /// A whole INTEGER assignment: evaluate `CUnit::int_steps[start..
+    /// start + len]` on a fixed-size `i64` stack and store the result in
+    /// private slot `dst` (cannot fail).
+    IntAssign {
+        dst: u32,
+        start: u32,
+        len: u32,
+    },
     ConstInt(i64),
     ConstReal(f64),
     ConstLog(bool),
@@ -148,6 +166,10 @@ pub(crate) enum Instr {
     Neg,
     Not,
     Bin(BinOp),
+    /// `Bin` whose right operand is the private scalar in a frame slot.
+    BinLocal(BinOp, u32),
+    /// `Bin` whose right operand is `CUnit::consts[k]`.
+    BinConst(BinOp, u32),
     /// Intrinsic function call: pops `argc` values.
     CallFn {
         name: u32,
@@ -245,6 +267,73 @@ pub(crate) struct CUnit {
     pub(crate) code: Vec<Instr>,
     /// Source line of each instruction (diagnostics).
     pub(crate) lines: Vec<u32>,
+    /// The postfix programs of every `IntAssign`, back to back.
+    pub(crate) int_steps: Vec<IntStep>,
+    /// The heads of every `DoHead`.
+    pub(crate) do_heads: Vec<FusedDo>,
+    /// Constant operands of `BinConst`.
+    pub(crate) consts: Vec<Value>,
+}
+
+// ---- fused INTEGER forms ----------------------------------------------
+//
+// An INTEGER private scalar always holds `Value::Int`: its frame slot
+// starts as `Int(0)` and every store into it converts to INTEGER first.
+// An expression built only from such scalars, integer constants, `ME`,
+// `NP`, `+`, `-`, `*` and unary minus therefore cannot fail, and under
+// the wrapping rule of `int_arith` it yields exactly what the generic
+// path yields.  The compiler fuses those shapes; anything else (`/`,
+// `**`, REAL or LOGICAL values, shared, argument or array operands)
+// keeps the generic instructions.
+
+/// Size of the fused forms' `i64` stack; deeper expressions stay generic.
+const INT_STACK: usize = 8;
+
+/// An operand of a fused INTEGER form.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum IntSrc {
+    /// An INTEGER private scalar's frame slot.
+    Local(u32),
+    Const(i64),
+    Me,
+    Np,
+}
+
+/// One step of a fused INTEGER expression (postfix).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum IntStep {
+    Push(IntSrc),
+    /// Pop the right operand, combine it into the new top.
+    Op(IntOp),
+    /// Combine an operand read in place into the top.
+    OpWith(IntOp, IntSrc),
+    Neg,
+}
+
+/// A structured-DO head whose loop variable is an INTEGER private
+/// scalar, whose bound is an [`IntSrc`] and whose step is a constant.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct FusedDo {
+    var: u32,
+    to: IntSrc,
+    step: i64,
+    /// Instruction offset of the loop body (just after the head).
+    body: u32,
+    /// Instruction offset past the loop.
+    exit: u32,
+}
+
+impl FusedDo {
+    /// The §4.2 completion test for loop-variable value `k`.
+    #[inline(always)]
+    fn continues(&self, k: i64, locals: &[Value], me: i64, np: i64) -> bool {
+        ForceRange {
+            start: k,
+            last: int_load(self.to, locals, me, np),
+            incr: self.step,
+        }
+        .in_bounds(k)
+    }
 }
 
 /// A whole program, lowered.  Built once per `(source, machine)`
@@ -269,6 +358,25 @@ impl CompiledProgram {
             .binary_search_by(|u| u.name.as_str().cmp(name))
             .ok()
     }
+
+    /// Instructions one trip of `unit`'s innermost loop dispatches: the
+    /// span of its shortest backward jump, head included.  A diagnostic
+    /// that pins the fused forms without timing anything.
+    pub fn innermost_loop_dispatches(&self, unit: &str) -> Option<usize> {
+        let u = &self.units[self.unit_index(unit)?];
+        u.code
+            .iter()
+            .enumerate()
+            .filter_map(|(pc, i)| {
+                let back = match *i {
+                    Instr::Jump(t) => t,
+                    Instr::DoNext(d) => u.do_heads[d as usize].body,
+                    _ => return None,
+                } as usize;
+                (back <= pc).then(|| pc - back + 1)
+            })
+            .min()
+    }
 }
 
 // ---- compiler --------------------------------------------------------
@@ -287,12 +395,171 @@ struct Emit<'p> {
     symbols: &'p HashMap<String, Symbol>,
     code: Vec<Instr>,
     lines: Vec<u32>,
+    int_steps: Vec<IntStep>,
+    do_heads: Vec<FusedDo>,
+    consts: Vec<Value>,
 }
 
 impl Emit<'_> {
     fn push(&mut self, i: Instr, line: usize) {
         self.code.push(i);
         self.lines.push(line as u32);
+    }
+
+    /// The frame slot of `n` if it is an INTEGER private scalar.
+    fn int_local(&self, n: &str) -> Option<u32> {
+        let sym = self.symbols.get(n)?;
+        match sym.storage {
+            Storage::Local { base } if sym.ty == Ty::Integer && sym.dims.is_empty() => {
+                Some(base as u32)
+            }
+            _ => None,
+        }
+    }
+
+    /// `x` as a fused operand: an INTEGER private scalar, an integer
+    /// constant (negated literals folded), `ME` or `NP`.
+    fn int_src(&self, x: &Expr) -> Option<IntSrc> {
+        match x {
+            Expr::Int(n) => Some(IntSrc::Const(*n)),
+            Expr::Un(UnOp::Neg, a) => match **a {
+                Expr::Int(n) => Some(IntSrc::Const(int_neg(n))),
+                _ => None,
+            },
+            Expr::Var(n) => match self.symbols.get(n)?.storage {
+                Storage::PseudoMe => Some(IntSrc::Me),
+                Storage::PseudoNp => Some(IntSrc::Np),
+                _ => self.int_local(n).map(IntSrc::Local),
+            },
+            _ => None,
+        }
+    }
+
+    /// Append the postfix steps of `x`; false if `x` is not a fusable
+    /// INTEGER expression (the appended steps are then garbage).
+    fn push_int_expr(&mut self, x: &Expr) -> bool {
+        if let Some(s) = self.int_src(x) {
+            self.int_steps.push(IntStep::Push(s));
+            return true;
+        }
+        let step = match x {
+            Expr::Un(UnOp::Neg, a) => {
+                if !self.push_int_expr(a) {
+                    return false;
+                }
+                IntStep::Neg
+            }
+            Expr::Bin(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul), a, b) => {
+                let iop = IntOp::of(*op).expect("+ - * are INTEGER operations");
+                if !self.push_int_expr(a) {
+                    return false;
+                }
+                match self.int_src(b) {
+                    Some(s) => IntStep::OpWith(iop, s),
+                    None if self.push_int_expr(b) => IntStep::Op(iop),
+                    None => return false,
+                }
+            }
+            _ => return false,
+        };
+        self.int_steps.push(step);
+        true
+    }
+
+    /// Emit `lhs = rhs` as one `IntAssign` if both sides qualify.
+    fn int_assign(&mut self, lhs: &LValue, rhs: &Expr, line: usize) -> bool {
+        let LValue::Name(n) = lhs else {
+            return false;
+        };
+        let Some(dst) = self.int_local(n) else {
+            return false;
+        };
+        let start = self.int_steps.len();
+        let fits = self.push_int_expr(rhs) && {
+            let mut depth = 0usize;
+            let mut max = 0usize;
+            for s in &self.int_steps[start..] {
+                match s {
+                    IntStep::Push(_) => depth += 1,
+                    IntStep::Op(_) => depth -= 1,
+                    IntStep::OpWith(..) | IntStep::Neg => {}
+                }
+                max = max.max(depth);
+            }
+            max <= INT_STACK
+        };
+        if !fits {
+            self.int_steps.truncate(start);
+            return false;
+        }
+        let len = (self.int_steps.len() - start) as u32;
+        let start = start as u32;
+        self.push(Instr::IntAssign { dst, start, len }, line);
+        true
+    }
+
+    /// Emit the structured-DO head at op `head` as one `DoHead` if it
+    /// qualifies, returning its `do_heads` index; the body and exit
+    /// targets are op indices until the jump-rewrite pass.
+    fn fused_do(
+        &mut self,
+        (var, to, step): (&Expr, &Expr, &Expr),
+        head: usize,
+        exit: usize,
+        line: usize,
+    ) -> Option<u32> {
+        let Expr::Var(v) = var else {
+            return None;
+        };
+        let (Some(var), Some(to), Some(IntSrc::Const(step))) =
+            (self.int_local(v), self.int_src(to), self.int_src(step))
+        else {
+            return None;
+        };
+        let i = self.do_heads.len() as u32;
+        self.do_heads.push(FusedDo {
+            var,
+            to,
+            step,
+            body: head as u32,
+            exit: exit as u32,
+        });
+        self.push(Instr::DoHead(i), line);
+        Some(i)
+    }
+
+    /// Whether `var = var + step` followed by a jump back to the fused
+    /// head `d` is that loop's close, which one `DoNext` can replace.
+    fn closes(&self, d: u32, lhs: &LValue, rhs: &Expr) -> bool {
+        let f = self.do_heads[d as usize];
+        let (LValue::Name(v), Expr::Bin(BinOp::Add, a, step)) = (lhs, rhs) else {
+            return false;
+        };
+        matches!(&**a, Expr::Var(n) if n == v)
+            && self.int_local(v) == Some(f.var)
+            && self.int_src(step) == Some(IntSrc::Const(f.step))
+    }
+
+    /// The operand form of a binary op's right side, if it is a private
+    /// scalar or a constant (neither load can fail).
+    fn operand_form(&mut self, op: BinOp, b: &Expr) -> Option<Instr> {
+        let k = match b {
+            Expr::Int(n) => Value::Int(*n),
+            Expr::Real(x) => Value::Real(*x),
+            Expr::Logical(v) => Value::Log(*v),
+            Expr::Var(n) => {
+                let sym = self.symbols.get(n)?;
+                return match sym.storage {
+                    Storage::Local { base } if sym.dims.is_empty() => {
+                        Some(Instr::BinLocal(op, base as u32))
+                    }
+                    _ => None,
+                };
+            }
+            _ => return None,
+        };
+        self.consts.push(k);
+        Some(Instr::BinConst(op, self.consts.len() as u32 - 1))
     }
 }
 
@@ -358,18 +625,39 @@ impl<'p> Compiler<'p> {
             symbols: &unit.symbols,
             code: Vec::new(),
             lines: Vec::new(),
+            int_steps: Vec::new(),
+            do_heads: Vec::new(),
+            consts: Vec::new(),
         };
+        // Ops some jump lands on: a loop's closing jump can be folded
+        // into the increment before it only if nothing else lands on it.
+        let mut targeted = vec![false; unit.ops.len() + 1];
+        for op in &unit.ops {
+            if let Op::Jump(t) | Op::JumpIfFalse(_, t) = op {
+                targeted[*t] = true;
+            }
+        }
+        // The fused head emitted for each op, if any.
+        let mut heads: Vec<Option<u32>> = vec![None; unit.ops.len()];
+        let mut folded = false;
         // First pass: emit each op, recording where it starts; jump
         // targets temporarily hold *op* indices.
         let mut op_starts = Vec::with_capacity(unit.ops.len() + 1);
         for (pc, op) in unit.ops.iter().enumerate() {
             op_starts.push(e.code.len() as u32);
+            if std::mem::take(&mut folded) {
+                // This op is the jump a `DoNext` just absorbed.
+                continue;
+            }
             let line = unit.op_lines[pc];
             match op {
                 Op::Nop => {}
                 Op::Jump(t) => e.push(Instr::Jump(*t as u32), line),
                 Op::JumpIfFalse(cond, t) => {
-                    match crate::program::match_do_condition(cond) {
+                    let parts = crate::program::match_do_condition(cond);
+                    heads[pc] = parts.and_then(|p| e.fused_do(p, pc, *t, line));
+                    match parts {
+                        _ if heads[pc].is_some() => {}
                         Some((var, to, step)) => {
                             // Tree evaluation order of the condition's
                             // first error: step, then var, then to.
@@ -385,8 +673,18 @@ impl<'p> Compiler<'p> {
                     }
                 }
                 Op::Assign(lhs, rhs) => {
-                    self.expr(&mut e, rhs, line);
-                    self.store(&mut e, lhs, line);
+                    let close = match unit.ops.get(pc + 1) {
+                        Some(Op::Jump(h)) if !targeted[pc + 1] => heads.get(*h).copied().flatten(),
+                        _ => None,
+                    }
+                    .filter(|&d| e.closes(d, lhs, rhs));
+                    if let Some(d) = close {
+                        e.push(Instr::DoNext(d), line);
+                        folded = true;
+                    } else if !e.int_assign(lhs, rhs, line) {
+                        self.expr(&mut e, rhs, line);
+                        self.store(&mut e, lhs, line);
+                    }
                 }
                 Op::Print(items) => {
                     for it in items {
@@ -419,6 +717,11 @@ impl<'p> Compiler<'p> {
                 _ => {}
             }
         }
+        for d in &mut e.do_heads {
+            // A fused head is its op's only instruction.
+            d.body = op_starts[d.body as usize] + 1;
+            d.exit = op_starts[d.exit as usize];
+        }
         let mut locals_init = Vec::new();
         for sym in unit.symbols.values() {
             if let Storage::Local { base } = sym.storage {
@@ -435,6 +738,9 @@ impl<'p> Compiler<'p> {
             locals_init,
             code: e.code,
             lines: e.lines,
+            int_steps: e.int_steps,
+            do_heads: e.do_heads,
+            consts: e.consts,
         }
     }
 
@@ -507,8 +813,13 @@ impl<'p> Compiler<'p> {
                 // The tree-walker evaluates both operands
                 // unconditionally (no short-circuit) — so does the VM.
                 self.expr(e, a, line);
-                self.expr(e, b, line);
-                e.push(Instr::Bin(*op), line);
+                match e.operand_form(*op, b) {
+                    Some(i) => e.push(i, line),
+                    None => {
+                        self.expr(e, b, line);
+                        e.push(Instr::Bin(*op), line);
+                    }
+                }
             }
         }
     }
@@ -975,6 +1286,73 @@ fn do_continues(var: Value, to: Value, step: Value, line: usize) -> Result<bool,
     Ok((cs == Greater && ck != Greater) || (cs == Less && ck != Less))
 }
 
+/// `eval_binop` with the Int×Int arithmetic and comparisons inlined.
+#[inline(always)]
+fn binop(op: BinOp, a: Value, b: Value, line: usize) -> Result<Value, FortError> {
+    if let (Value::Int(x), Value::Int(y)) = (a, b) {
+        let r = match op {
+            BinOp::Lt => x < y,
+            BinOp::Le => x <= y,
+            BinOp::Gt => x > y,
+            BinOp::Ge => x >= y,
+            BinOp::Eq => x == y,
+            BinOp::Ne => x != y,
+            _ => {
+                if let Some(v) = IntOp::of(op).and_then(|o| int_arith(o, x, y)) {
+                    return Ok(Value::Int(v));
+                }
+                return eval_binop(op, a, b, line);
+            }
+        };
+        return Ok(Value::Log(r));
+    }
+    eval_binop(op, a, b, line)
+}
+
+/// Read a fused operand.
+#[inline(always)]
+fn int_load(s: IntSrc, locals: &[Value], me: i64, np: i64) -> i64 {
+    match s {
+        IntSrc::Local(slot) => match locals[slot as usize] {
+            Value::Int(n) => n,
+            _ => unreachable!("an INTEGER private scalar holds an Int"),
+        },
+        IntSrc::Const(n) => n,
+        IntSrc::Me => me,
+        IntSrc::Np => np,
+    }
+}
+
+/// `int_arith` for the fused forms, which never divide.
+#[inline(always)]
+fn wrap(op: IntOp, x: i64, y: i64) -> i64 {
+    int_arith(op, x, y).expect("fused forms never divide")
+}
+
+/// Evaluate a fused INTEGER expression.
+#[inline(always)]
+fn int_eval(steps: &[IntStep], locals: &[Value], me: i64, np: i64) -> i64 {
+    let mut st = [0i64; INT_STACK];
+    let mut sp = 0usize;
+    for s in steps {
+        match *s {
+            IntStep::Push(x) => {
+                st[sp] = int_load(x, locals, me, np);
+                sp += 1;
+            }
+            IntStep::Op(op) => {
+                sp -= 1;
+                st[sp - 1] = wrap(op, st[sp - 1], st[sp]);
+            }
+            IntStep::OpWith(op, x) => {
+                st[sp - 1] = wrap(op, st[sp - 1], int_load(x, locals, me, np))
+            }
+            IntStep::Neg => st[sp - 1] = int_neg(st[sp - 1]),
+        }
+    }
+    st[0]
+}
+
 /// One VM process: the bytecode counterpart of the tree-walker's `Proc`.
 pub(crate) struct VmProc<'r, 'e> {
     rt: &'r Rt<'e>,
@@ -1070,6 +1448,30 @@ impl<'r, 'e> VmProc<'r, 'e> {
                         pc = *t as usize;
                         continue;
                     }
+                }
+                Instr::DoHead(i) => {
+                    let d = &u.do_heads[*i as usize];
+                    let k = int_load(IntSrc::Local(d.var), &locals, self.me, self.np);
+                    if !d.continues(k, &locals, self.me, self.np) {
+                        pc = d.exit as usize;
+                        continue;
+                    }
+                }
+                Instr::DoNext(i) => {
+                    let d = &u.do_heads[*i as usize];
+                    let k = int_load(IntSrc::Local(d.var), &locals, self.me, self.np);
+                    let k = wrap(IntOp::Add, k, d.step);
+                    locals[d.var as usize] = Value::Int(k);
+                    pc = if d.continues(k, &locals, self.me, self.np) {
+                        d.body
+                    } else {
+                        d.exit
+                    } as usize;
+                    continue;
+                }
+                Instr::IntAssign { dst, start, len } => {
+                    let steps = &u.int_steps[*start as usize..(*start + *len) as usize];
+                    locals[*dst as usize] = Value::Int(int_eval(steps, &locals, self.me, self.np));
                 }
                 Instr::ConstInt(n) => stack.push(Value::Int(*n)),
                 Instr::ConstReal(x) => stack.push(Value::Real(*x)),
@@ -1269,7 +1671,7 @@ impl<'r, 'e> VmProc<'r, 'e> {
                 }
                 Instr::Neg => {
                     let v = match pop!() {
-                        Value::Int(n) => Value::Int(-n),
+                        Value::Int(n) => Value::Int(int_neg(n)),
                         Value::Real(x) => Value::Real(-x),
                         Value::Log(_) => {
                             return Err(FortError::runtime(line, "cannot negate a LOGICAL"))
@@ -1284,7 +1686,15 @@ impl<'r, 'e> VmProc<'r, 'e> {
                 Instr::Bin(op) => {
                     let b = pop!();
                     let a = pop!();
-                    stack.push(eval_binop(*op, a, b, line)?);
+                    stack.push(binop(*op, a, b, line)?);
+                }
+                Instr::BinLocal(op, slot) => {
+                    let top = stack.last_mut().expect("value stack underflow");
+                    *top = binop(*op, *top, locals[*slot as usize], line)?;
+                }
+                Instr::BinConst(op, k) => {
+                    let top = stack.last_mut().expect("value stack underflow");
+                    *top = binop(*op, *top, u.consts[*k as usize], line)?;
                 }
                 Instr::CallFn { name, argc } => {
                     let split = stack.len() - *argc as usize;

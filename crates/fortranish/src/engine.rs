@@ -36,7 +36,7 @@ use crate::bytecode::{self, CompiledProgram, VmProc};
 use crate::error::{FortError, FortErrorKind};
 use crate::intrinsics;
 use crate::program::{Op, Program, Storage, Symbol, Unit};
-use crate::value::Value;
+use crate::value::{int_arith, int_neg, IntOp, Value};
 
 /// A loaded Force program bound to a machine personality.
 ///
@@ -1419,7 +1419,7 @@ impl Proc<'_, '_> {
                 let v = self.eval(frame, a, line)?;
                 match op {
                     UnOp::Neg => match v {
-                        Value::Int(n) => Ok(Value::Int(-n)),
+                        Value::Int(n) => Ok(Value::Int(int_neg(n))),
                         Value::Real(x) => Ok(Value::Real(-x)),
                         Value::Log(_) => Err(FortError::runtime(line, "cannot negate a LOGICAL")),
                     },
@@ -1691,18 +1691,12 @@ pub(crate) fn eval_binop(
             Ok(Value::Log(if op == Eq { x == y } else { x != y }))
         }
         Add | Sub | Mul | Div | Pow => match (a, b) {
-            (Value::Int(x), Value::Int(y)) => match op {
-                Add => Ok(Value::Int(x.wrapping_add(y))),
-                Sub => Ok(Value::Int(x.wrapping_sub(y))),
-                Mul => Ok(Value::Int(x.wrapping_mul(y))),
-                Div => {
-                    if y == 0 {
-                        Err(FortError::runtime(line, "integer division by zero"))
-                    } else {
-                        Ok(Value::Int(x / y))
-                    }
-                }
-                Pow => {
+            (Value::Int(x), Value::Int(y)) => match IntOp::of(op) {
+                Some(iop) => int_arith(iop, x, y)
+                    .map(Value::Int)
+                    .ok_or_else(|| FortError::runtime(line, "integer division by zero")),
+                // `**`, the one operator outside the wrapping rule.
+                None => {
                     if y >= 0 {
                         // Fortran: INTEGER ** INTEGER is an INTEGER.
                         // Overflow is a runtime error, not a silent wrap
@@ -1722,7 +1716,6 @@ pub(crate) fn eval_binop(
                         ))
                     }
                 }
-                _ => unreachable!(),
             },
             _ => {
                 let x = a.as_real(line)?;

@@ -1,7 +1,7 @@
 //! Intrinsic functions and the runtime-service name tables.
 
 use crate::error::FortError;
-use crate::value::Value;
+use crate::value::{int_arith, IntOp, Value};
 
 /// Intrinsic *functions* usable in expressions.
 pub fn is_intrinsic_function(name: &str) -> bool {
@@ -94,13 +94,13 @@ pub fn eval_function(
         "ABS" => {
             argc(1)?;
             match args[0] {
-                Value::Int(n) => Value::Int(n.abs()),
+                Value::Int(n) => Value::Int(n.wrapping_abs()),
                 _ => Value::Real(args[0].as_real(line)?.abs()),
             }
         }
         "IABS" => {
             argc(1)?;
-            Value::Int(args[0].as_int(line)?.abs())
+            Value::Int(args[0].as_int(line)?.wrapping_abs())
         }
         "SQRT" => {
             argc(1)?;
@@ -133,12 +133,10 @@ pub fn eval_function(
         "MOD" => {
             argc(2)?;
             match (args[0], args[1]) {
-                (Value::Int(a), Value::Int(b)) => {
-                    if b == 0 {
-                        return Err(FortError::runtime(line, "MOD by zero"));
-                    }
-                    Value::Int(a % b)
-                }
+                (Value::Int(a), Value::Int(b)) => match int_arith(IntOp::Rem, a, b) {
+                    Some(r) => Value::Int(r),
+                    None => return Err(FortError::runtime(line, "MOD by zero")),
+                },
                 _ => {
                     let a = args[0].as_real(line)?;
                     let b = args[1].as_real(line)?;

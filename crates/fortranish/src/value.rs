@@ -1,7 +1,55 @@
 //! Runtime values and their coercions.
 
-use crate::ast::Ty;
+use crate::ast::{BinOp, Ty};
 use crate::error::{FortError, FortErrorKind};
+
+/// The wrapping INTEGER operations of [`int_arith`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum IntOp {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    /// Truncating remainder (`MOD`).
+    Rem,
+}
+
+impl IntOp {
+    /// The INTEGER operation behind an arithmetic operator (`**` has
+    /// its own overflow rule and is not one of them).
+    #[inline]
+    pub(crate) fn of(op: BinOp) -> Option<IntOp> {
+        match op {
+            BinOp::Add => Some(IntOp::Add),
+            BinOp::Sub => Some(IntOp::Sub),
+            BinOp::Mul => Some(IntOp::Mul),
+            BinOp::Div => Some(IntOp::Div),
+            _ => None,
+        }
+    }
+}
+
+/// INTEGER arithmetic, shared by both executors, the `MOD` intrinsic and
+/// the VM's fused integer forms: every operation wraps in two's
+/// complement, the `i64::MIN / -1` and `MOD(i64::MIN, -1)` edges
+/// included, so no INTEGER operation can panic.  `None` means a zero
+/// divisor; the caller words that error.
+#[inline]
+pub(crate) fn int_arith(op: IntOp, x: i64, y: i64) -> Option<i64> {
+    match op {
+        IntOp::Add => Some(x.wrapping_add(y)),
+        IntOp::Sub => Some(x.wrapping_sub(y)),
+        IntOp::Mul => Some(x.wrapping_mul(y)),
+        IntOp::Div => (y != 0).then(|| x.wrapping_div(y)),
+        IntOp::Rem => (y != 0).then(|| x.wrapping_rem(y)),
+    }
+}
+
+/// INTEGER unary minus: `0 - x` under [`int_arith`]'s wrapping rule.
+#[inline]
+pub(crate) fn int_neg(x: i64) -> i64 {
+    x.wrapping_neg()
+}
 
 /// A runtime value (one storage word).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -372,7 +372,7 @@ struct VProc {
     status: VStatus,
     /// This pid's virtual clock, in simulated cycles (= virtual ns).
     vnow: u64,
-    /// Failed readiness polls since this pid last made progress.
+    /// Failed readiness polls since any pid last made progress.
     barren_polls: u32,
 }
 
@@ -418,6 +418,15 @@ impl VState {
             .iter()
             .filter(|p| matches!(p.status, VStatus::Runnable | VStatus::Polling))
             .count()
+    }
+
+    /// Some pid made progress (a poll succeeded, or it ran program text
+    /// before parking): every pid's failed polls so far were against a
+    /// state that no longer holds, so none of them counts any more.
+    fn progress(&mut self) {
+        for p in &mut self.procs {
+            p.barren_polls = 0;
+        }
     }
 
     /// Whether every live pid is parked and has exhausted its poll
@@ -584,6 +593,13 @@ impl VirtualParker {
         let trip = {
             let mut st = self.state.lock();
             let cost = poll_cost(&st.costs, fallback);
+            if st
+                .procs
+                .get(pid)
+                .is_some_and(|p| p.status == VStatus::Runnable)
+            {
+                st.progress();
+            }
             if let Some(p) = st.procs.get_mut(pid) {
                 p.status = VStatus::Polling;
                 p.vnow = p.vnow.saturating_add(cost);
@@ -638,10 +654,10 @@ impl VirtualParker {
     fn wake_token(&self, pid: usize, fallback: Construct) {
         let mut st = self.state.lock();
         let cost = wake_cost(&st.costs, fallback);
+        st.progress();
         if let Some(p) = st.procs.get_mut(pid) {
             p.status = VStatus::Runnable;
             p.vnow = p.vnow.saturating_add(cost);
-            p.barren_polls = 0;
         }
     }
 

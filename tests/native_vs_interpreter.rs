@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicI64, Ordering};
 
 use the_force::compile_force_source;
 use the_force::fortran::{RunOutput, Value};
-use the_force::machdep::{ExecutorChoice, Machine, MachineId};
+use the_force::machdep::{ExecutorChoice, Machine, MachineId, XorShift64};
 use the_force::prelude::*;
 use the_force::run_force_source;
 
@@ -488,5 +488,298 @@ fn injected_panics_fault_identically_under_every_schedule_policy() {
             "{policy:?}: unexpected payload {}",
             err.payload
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fused forms: the VM compiles INTEGER private assignments, structured DO
+// heads with an INTEGER private loop variable, and binary ops with a local
+// or constant right operand to fused instructions.  Programs that take the
+// fused path and programs that must not take it must both run exactly as
+// the tree-walker runs them.
+// ---------------------------------------------------------------------------
+
+/// Run `src` at nproc 1 on `id` under both executors and require the same
+/// prints, shared memory, op counters and simulated cycles, or the same
+/// error text (line included).
+fn assert_executors_agree(label: &str, src: &str, id: MachineId) {
+    let label = format!("{label} on {}", id.name());
+    match (
+        run_under(src, id, 1, ExecutorChoice::TreeWalk),
+        run_under(src, id, 1, ExecutorChoice::Bytecode),
+    ) {
+        (Ok(tree), Ok(vm)) => {
+            assert_same_run(&label, &tree, &vm);
+            assert_eq!(tree.cycles, vm.cycles, "{label}: simulated cycles diverge");
+        }
+        (Err(tree), Err(vm)) => assert_eq!(tree, vm, "{label}: error text diverges"),
+        (tree, vm) => panic!("{label}: one executor failed: tree {tree:?}, vm {vm:?}"),
+    }
+}
+
+/// A random expression of the fused shape: INTEGER private scalars,
+/// integer constants (some large, so sums and products wrap), `ME`, `NP`,
+/// `+ - *` and unary minus.
+fn fused_expr(rng: &mut XorShift64, depth: usize) -> String {
+    if depth == 0 || rng.next_index(3) == 0 {
+        return match rng.next_index(6) {
+            0 => rng.next_i64_in(0, 9).to_string(),
+            1 => ["3037000500", "4611686018427387904", "9223372036854775807"][rng.next_index(3)]
+                .to_string(),
+            2 => "ME".to_string(),
+            3 => "NP".to_string(),
+            _ => ["A", "B", "C", "D"][rng.next_index(4)].to_string(),
+        };
+    }
+    let a = fused_expr(rng, depth - 1);
+    match rng.next_index(4) {
+        0 => format!("(-{a})"),
+        k => {
+            let b = fused_expr(rng, depth - 1);
+            format!("({a} {} {b})", ["+", "-", "*"][k - 1])
+        }
+    }
+}
+
+/// A random statement list of fused assignments and DO loops whose bounds
+/// are an INTEGER private scalar, a constant, `ME` or `NP`.
+fn fused_body(rng: &mut XorShift64, depth: usize, label: &mut u32, out: &mut String) {
+    for _ in 0..rng.next_i64_in(1, 3) {
+        let target = ["A", "B", "C", "D"][rng.next_index(4)];
+        if depth == 0 || rng.next_bool() {
+            out.push_str(&format!("      {target} = {}\n", fused_expr(rng, 3)));
+            continue;
+        }
+        *label += 10;
+        let l = *label;
+        let var = if depth == 2 { "K" } else { "J" };
+        let (from, to, step) = match rng.next_index(5) {
+            0 => (rng.next_i64_in(-2, 2).to_string(), "N".to_string(), "1"),
+            1 => ("N".to_string(), rng.next_i64_in(-3, 1).to_string(), "-1"),
+            2 => ("0".to_string(), "ME".to_string(), "1"),
+            3 => ("1".to_string(), "NP".to_string(), "1"),
+            _ => (rng.next_i64_in(0, 2).to_string(), "7".to_string(), "2"),
+        };
+        out.push_str(&format!("      DO {l} {var} = {from}, {to}, {step}\n"));
+        fused_body(rng, depth - 1, label, out);
+        out.push_str(&format!(
+            "      {target} = {target} + {var}\n{l:<6}CONTINUE\n"
+        ));
+    }
+}
+
+#[test]
+fn fused_integer_programs_agree_across_executors() {
+    // Fixed loop shapes first: a GO TO onto the terminal CONTINUE, two
+    // loops closing on one label, and a body that moves its own loop
+    // variable; then random programs.
+    let mut bodies = vec![
+        "      DO 10 K = 1, N\n      IF (K .EQ. 2) GO TO 10\n      A = A + K * K\n10    CONTINUE\n"
+            .to_string(),
+        "      DO 20 K = 1, N\n      DO 20 J = K, 4\n      B = B - J + K\n20    CONTINUE\n"
+            .to_string(),
+        "      DO 30 K = 9, 1, -2\n      K = K - 1\n      C = C * 3 + K\n30    CONTINUE\n"
+            .to_string(),
+    ];
+    let mut rng = XorShift64::new(0x5EED_F05E);
+    for _ in 0..16 {
+        let mut body = String::new();
+        fused_body(&mut rng, 2, &mut 0, &mut body);
+        bodies.push(body);
+    }
+    for (case, body) in bodies.into_iter().enumerate() {
+        let src = format!(
+            "\
+      Force FMAIN of NP ident ME
+      Shared INTEGER R(4)
+      Private INTEGER A, B, C, D, K, J, N
+      End declarations
+      A = {}
+      B = {}
+      N = {}
+{body}      PRINT *, A, B, C, D, K, J
+      R(1) = A
+      R(2) = B
+      R(3) = C
+      R(4) = D
+      Join
+",
+            fused_expr(&mut rng, 2),
+            fused_expr(&mut rng, 2),
+            rng.next_i64_in(0, 5),
+        );
+        for id in MachineId::all() {
+            assert_executors_agree(&format!("fused case {case}:\n{src}"), &src, id);
+        }
+    }
+}
+
+#[test]
+fn unfused_programs_agree_across_executors() {
+    // Shapes the fused forms must leave to the generic path: REAL and
+    // LOGICAL values, mixed-type stores, shared, argument and array
+    // operands and bounds, `/` and `**`, an expression deeper than the
+    // fused stack, and runtime errors (a type error inside a DO bound
+    // among them), whose text and line must not change.
+    let decls = "\
+      Force FMAIN of NP ident ME
+      Shared INTEGER S, V(3)
+      Externf WORK
+      Private INTEGER I, J, K
+      Private REAL X, Y
+      Private LOGICAL L
+      End declarations
+";
+    let programs = [
+        (
+            "real-logical-mixed",
+            "\
+      X = 2.75
+      I = X * 3
+      Y = I + X
+      L = I .GT. 7
+      IF (L) I = I + 1
+      J = I / 2 + 2 ** I - MOD(I, 3)
+      K = -Y
+      DO 10 K = 1, Y
+      X = X + K * 0.5
+10    CONTINUE
+      DO 20 I = 3, 1, -1
+      Y = Y - I
+20    CONTINUE
+      PRINT *, I, J, K, X, Y, L
+      S = I + J + K
+",
+        ),
+        (
+            "shared-array-argument",
+            "\
+      S = 4
+      V(1) = 3
+      V(2) = -2
+      I = S + 1
+      J = V(2) * I - S
+      K = 0
+      DO 10 I = 1, S
+      K = K + V(1) * I
+10    CONTINUE
+      DO 20 J = V(1), 1, -1
+      K = K - J
+20    CONTINUE
+      CALL WORK(K, V(3))
+      PRINT *, I, J, K, S, V(3)
+      Join
+      Forcesub WORK(N, OUTV) of NP ident ME
+      Private INTEGER M, T
+      INTEGER N, OUTV
+      End declarations
+      T = N + 1
+      DO 30 M = 1, N
+      T = T + M * N
+30    CONTINUE
+      OUTV = T
+",
+        ),
+        (
+            "deeper-than-the-fused-stack",
+            "\
+      I = 5
+      J = 3
+      K = I - (J - (I - (J - (I - (J - (I - (J - (I - (J - 1)))))))))
+      S = K
+",
+        ),
+        (
+            "integer-division-by-zero",
+            "      I = 4\n      J = I / (I - I)\n",
+        ),
+        ("integer-power-overflow", "      I = 10 ** 40\n"),
+        (
+            "real-out-of-integer-range",
+            "      X = 1.0E30\n      I = X * X\n",
+        ),
+        ("logical-arithmetic", "      L = .TRUE.\n      I = L + 1\n"),
+        (
+            "logical-do-bound",
+            "      L = .TRUE.\n      DO 10 I = 1, L\n      J = J + I\n10    CONTINUE\n",
+        ),
+        (
+            "type-error-inside-do-bound",
+            "      DO 10 I = 1, 3 + L\n      J = J + I\n10    CONTINUE\n",
+        ),
+    ];
+    for (name, body) in programs {
+        let src = if body.contains("Forcesub") {
+            format!("{decls}{body}      Join\n")
+        } else {
+            format!("{decls}{body}      Join\n      Forcesub WORK(N, OUTV) of NP ident ME\n      INTEGER N, OUTV\n      End declarations\n      OUTV = N\n      Join\n")
+        };
+        for id in MachineId::all() {
+            assert_executors_agree(name, &src, id);
+        }
+    }
+}
+
+#[test]
+fn integer_overflow_edges_wrap_on_both_executors() {
+    // `i64::MIN / -1`, `MOD(i64::MIN, -1)`, unary minus, `*` and `ABS`
+    // wrap in two's complement (no Rust panic, in debug builds either);
+    // division by zero stays an error.
+    let src = "\
+      Force FMAIN of NP ident ME
+      Shared INTEGER R(6)
+      Private INTEGER I, N, P
+      End declarations
+      I = -9223372036854775807 - 1
+      N = -I
+      P = I * (-1)
+      R(1) = I / (-1)
+      R(2) = MOD(I, -1)
+      R(3) = N
+      R(4) = P
+      R(5) = ABS(I)
+      R(6) = -R(1)
+      Join
+";
+    let min = Value::Int(i64::MIN);
+    for executor in [ExecutorChoice::TreeWalk, ExecutorChoice::Bytecode] {
+        let out = run_under(src, MachineId::EncoreMultimax, 1, executor)
+            .unwrap_or_else(|e| panic!("{executor:?}: {e}"));
+        assert_eq!(
+            out.shared_values["R"],
+            vec![min, Value::Int(0), min, min, min, min],
+            "{executor:?}"
+        );
+    }
+}
+
+#[test]
+fn skewed_inner_loop_is_at_most_five_dispatches_per_trip() {
+    // The skewed loop's inner trip — `T = T + c*J*J - K`, the increment
+    // and the DO head — is 19 dispatches on the generic path.  Counting
+    // instructions, not time, makes a lost fusion visible on any host.
+    let src = "\
+      Force FMAIN of NP ident ME
+      Shared INTEGER CHK
+      Private INTEGER K, J, T
+      End declarations
+      Selfsched DO 100 K = 1, 96
+      T = 0
+      DO 10 J = 1, K
+      T = T + 3 * J * J - K
+10    CONTINUE
+      Critical L
+      CHK = CHK + MOD(T, 1000)
+      End critical
+100   End selfsched DO
+      Join
+";
+    for id in MachineId::all() {
+        let (_expanded, engine) = compile_force_source(src, id).expect("front end");
+        let compiled = the_force::fortran::bytecode::compile(engine.program());
+        let n = compiled
+            .innermost_loop_dispatches("FMAIN")
+            .expect("FMAIN has a loop");
+        assert!(n <= 5, "{}: inner trip takes {n} dispatches", id.name());
     }
 }

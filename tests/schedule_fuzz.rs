@@ -262,3 +262,67 @@ fn golden_seed_schedule_is_pinned() {
         summary.decisions, summary.makespan_ns, summary.digest
     );
 }
+
+/// Sixteen barrier sections on a fresh 2-pid force under the virtual
+/// backend.
+fn barrier_sections_virtual(machine: MachineId, seed: u64) -> Result<(), String> {
+    let force = Force::with_machine(2, Machine::new(machine));
+    force
+        .try_execute_with(
+            RunOptions {
+                backend: ParkBackend::Virtual { seed },
+                ..RunOptions::default()
+            },
+            |p| {
+                for _ in 0..16 {
+                    p.barrier_section(|| {});
+                }
+            },
+        )
+        .map(|_| ())
+        .map_err(|f| f.to_string())
+}
+
+#[test]
+fn progress_by_a_peer_clears_stale_barren_polls() {
+    // Replay keys that once declared a false "virtual scheduler
+    // deadlock": a pid's failed polls from before its peer's progress
+    // still counted toward the deadlock budget, so the peer could
+    // exhaust its own budget while the first pid's clock sat past the
+    // scheduling horizon.
+    for (machine, seed) in [
+        (MachineId::Hep, 78),
+        (MachineId::Hep, 104),
+        (MachineId::Flex32, 155),
+        (MachineId::AlliantFx8, 155),
+    ] {
+        if let Err(e) = barrier_sections_virtual(machine, seed) {
+            panic!("{} seed {seed}: {e}", machine.name());
+        }
+    }
+}
+
+#[test]
+fn a_true_virtual_deadlock_still_trips() {
+    // Every pid consumes a variable nobody produces: no grant can ever
+    // make a poll succeed, so the scheduler must declare the deadlock
+    // rather than spin.
+    for machine in [MachineId::Hep, MachineId::Cray2] {
+        let force = Force::with_machine(2, Machine::new(machine));
+        let chan: Async<i64> = Async::new(force.machine());
+        let fault = force
+            .try_execute_with(
+                RunOptions {
+                    backend: ParkBackend::Virtual { seed: 78 },
+                    ..RunOptions::default()
+                },
+                |_| chan.consume(),
+            )
+            .expect_err("nothing is ever produced");
+        assert!(
+            fault.payload.contains("virtual scheduler deadlock"),
+            "{}: {fault}",
+            machine.name()
+        );
+    }
+}
